@@ -51,7 +51,8 @@ Alongside the message encoding, this module defines the **reliability
 frames** spoken by :class:`repro.net.session.ReliableSession`: a DATA
 frame carrying an opaque payload under a per-link sequence number, ACK
 (cumulative + selective), NACK (explicit missing sequence numbers),
-DIGEST (per-sender ``(sender, seq)`` frontiers for anti-entropy),
+DIGEST (per-sender ``(sender, seq)`` frontiers for anti-entropy, in the
+compact varint frontier map JOIN_ACK shares — see ``_encode_frontiers``),
 HEARTBEAT (a liveness beacon for the failure detector) and BATCH (a
 container datagram coalescing several frames, with an optional
 piggybacked cumulative ACK).  Frames use a distinct magic (``b"PF"``)
@@ -123,7 +124,10 @@ _VERSION = 3  # v2 added the clock-scheme id byte; v3 the epoch id byte
 _FLAG_VARINT = 0x01
 _FLAG_DELTA = 0x02
 _MAX_U32 = 0xFFFFFFFF
+_MAX_U64 = 0xFFFFFFFFFFFFFFFF
 _HEADER_SIZE = 6  # magic + version + flags + scheme + epoch
+
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
 
 #: Anything the decode paths accept: owned bytes or a borrowed view.
 Buffer = Union[bytes, bytearray, memoryview]
@@ -198,6 +202,8 @@ def encode_varint(value: int) -> bytes:
     """LEB128-encode a non-negative integer."""
     if value < 0:
         raise CodecError(f"varint requires a non-negative value, got {value}")
+    if value < 0x80:
+        return _ONE_BYTE[value]
     out = bytearray()
     while True:
         byte = value & 0x7F
@@ -211,6 +217,8 @@ def encode_varint(value: int) -> bytes:
 
 def decode_varint(data: Buffer, offset: int) -> Tuple[int, int]:
     """Decode a LEB128 varint at ``offset``; returns (value, new_offset)."""
+    if offset < len(data) and data[offset] < 0x80:
+        return data[offset], offset + 1
     result = 0
     shift = 0
     while True:
@@ -688,7 +696,9 @@ class MessageCodec:
 # ----------------------------------------------------------------------
 
 _FRAME_MAGIC = b"PF"
-_FRAME_VERSION = 2  # v2 added the epoch field to VIEW and JOIN_ACK
+# v2 added the epoch field to VIEW and JOIN_ACK; v3 the compact frontier
+# map of DIGEST and JOIN_ACK
+_FRAME_VERSION = 3
 _TYPE_DATA = 1
 _TYPE_ACK = 2
 _TYPE_NACK = 3
@@ -706,6 +716,7 @@ _MAX_NACK = 64
 _MAX_HOPS = 255
 _MAX_RELAY_SAMPLE = 255
 _BATCH_HAS_ACK = 0x01
+_FRONTIER_HAS_EXTRAS = 0x01
 _JOIN_ACK_ACCEPTED = 0x01
 
 
@@ -1005,29 +1016,50 @@ def _decode_members(data: Buffer, offset: int) -> Tuple[Tuple[MemberRecord, ...]
 
 
 def _encode_frontiers(frontiers: Dict[str, Tuple[int, Tuple[int, ...]]]) -> bytes:
-    if len(frontiers) > 0xFFFF:
-        raise CodecError("frontier map covers more than 65535 senders")
-    parts = [struct.pack("<H", len(frontiers))]
+    """The compact per-sender frontier map shared by DIGEST and JOIN_ACK.
+
+    A varint sender count, then per sender (sorted by id): a
+    varint-length-prefixed UTF-8 id, one varint ``contiguous << 1 |
+    has_extras``, and — only when that flag is set — the ascending
+    extras list above ``contiguous``.
+    """
+    parts = [encode_varint(len(frontiers))]
     for sender in sorted(frontiers):
         contiguous, extras = frontiers[sender]
-        parts.append(_encode_short_bytes(str(sender).encode("utf-8")))
-        parts.append(struct.pack("<Q", contiguous))
-        parts.append(_encode_ascending(tuple(extras), contiguous))
+        if not 0 <= contiguous <= _MAX_U64:
+            raise CodecError(f"frontier {contiguous} outside the u64 seq range")
+        sender_bytes = str(sender).encode("utf-8")
+        parts.append(encode_varint(len(sender_bytes)))
+        parts.append(sender_bytes)
+        if extras:
+            parts.append(encode_varint(contiguous << 1 | _FRONTIER_HAS_EXTRAS))
+            parts.append(_encode_ascending(tuple(extras), contiguous))
+        else:
+            parts.append(encode_varint(contiguous << 1))
     return b"".join(parts)
 
 
 def _decode_frontiers(
     data: Buffer, offset: int
 ) -> Tuple[Dict[str, Tuple[int, Tuple[int, ...]]], int]:
-    (count,) = struct.unpack_from("<H", data, offset)
-    offset += 2
+    count, offset = decode_varint(data, offset)
     frontiers: Dict[str, Tuple[int, Tuple[int, ...]]] = {}
     for _ in range(count):
-        sender_raw, offset = _decode_short_bytes(data, offset)
-        (contiguous,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-        extras, offset = _decode_ascending(data, offset, contiguous)
-        frontiers[sender_raw.decode("utf-8")] = (contiguous, extras)
+        length, offset = decode_varint(data, offset)
+        end = offset + length
+        if len(data) < end:
+            raise CodecError("truncated frontier sender")
+        sender = str(data[offset:end], "utf-8")
+        word, offset = decode_varint(data, end)
+        contiguous = word >> 1
+        if contiguous > _MAX_U64:
+            raise CodecError(f"frontier {contiguous} outside the u64 seq range")
+        extras: Tuple[int, ...] = ()
+        if word & _FRONTIER_HAS_EXTRAS:
+            extras, offset = _decode_ascending(data, offset, contiguous)
+            if not extras:
+                raise CodecError("frontier extras flag set on an empty list")
+        frontiers[sender] = (contiguous, extras)
     return frontiers, offset
 
 
@@ -1104,20 +1136,9 @@ class FrameCodec:
                 ]
             )
         if isinstance(frame, DigestFrame):
-            if len(frame.frontiers) > 0xFFFF:
-                raise CodecError("digest covers more than 65535 senders")
-            parts = [header, struct.pack("<B", _TYPE_DIGEST)]
-            parts.append(struct.pack("<H", len(frame.frontiers)))
-            for sender in sorted(frame.frontiers):
-                contiguous, extras = frame.frontiers[sender]
-                sender_bytes = str(sender).encode("utf-8")
-                if len(sender_bytes) > 0xFFFF:
-                    raise CodecError("sender id longer than 65535 bytes")
-                parts.append(struct.pack("<H", len(sender_bytes)))
-                parts.append(sender_bytes)
-                parts.append(struct.pack("<Q", contiguous))
-                parts.append(_encode_ascending(tuple(extras), contiguous))
-            return b"".join(parts)
+            return b"".join(
+                [header, struct.pack("<B", _TYPE_DIGEST), _encode_frontiers(frame.frontiers)]
+            )
         if isinstance(frame, HeartbeatFrame):
             if frame.count < 0:
                 raise CodecError(f"negative heartbeat count {frame.count}")
@@ -1248,20 +1269,7 @@ class FrameCodec:
                 rest, offset = _decode_ascending(data, offset, first)
                 return NackFrame(missing=(first,) + rest)
             if frame_type == _TYPE_DIGEST:
-                (count,) = struct.unpack_from("<H", data, offset)
-                offset += 2
-                frontiers: Dict[str, Tuple[int, Tuple[int, ...]]] = {}
-                for _ in range(count):
-                    (sender_len,) = struct.unpack_from("<H", data, offset)
-                    offset += 2
-                    if len(data) < offset + sender_len:
-                        raise CodecError("truncated digest sender")
-                    sender = bytes(data[offset : offset + sender_len]).decode("utf-8")
-                    offset += sender_len
-                    (contiguous,) = struct.unpack_from("<Q", data, offset)
-                    offset += 8
-                    extras, offset = _decode_ascending(data, offset, contiguous)
-                    frontiers[sender] = (contiguous, extras)
+                frontiers, offset = _decode_frontiers(data, offset)
                 return DigestFrame(frontiers=frontiers)
             if frame_type == _TYPE_HEARTBEAT:
                 (count,) = struct.unpack_from("<Q", data, offset)
@@ -1345,12 +1353,8 @@ class FrameCodec:
                     raise CodecError("truncated RELAY payload")
                 if borrowed:
                     counters.data_payload_views += 1
-                try:
-                    origin = origin_raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise CodecError(f"malformed relay origin: {exc}") from exc
                 return RelayFrame(
-                    origin=origin,
+                    origin=origin_raw.decode("utf-8"),
                     seq=seq,
                     hops=hops,
                     sent_at=sent_at,
@@ -1359,4 +1363,8 @@ class FrameCodec:
                 )
         except struct.error as exc:
             raise CodecError(f"truncated frame: {exc}") from exc
+        except (UnicodeDecodeError, IndexError, ValueError) as exc:
+            # Malformed ids and out-of-range fields: one error type for
+            # the receive path, which only ever catches CodecError.
+            raise CodecError(f"malformed frame: {exc}") from exc
         raise CodecError(f"unknown frame type {frame_type}")

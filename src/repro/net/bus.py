@@ -7,9 +7,10 @@ same models the discrete-event simulator uses, including the paper's
 Gaussian two-stage model).  Loss and duplication can be injected.
 
 Unlike the simulator, time here is real ``asyncio`` time scaled by
-``time_scale`` (default 1/1000: one simulated millisecond = one real
-millisecond × scale, so the paper's 100 ms delays run in ~0.1 ms and a
-whole exchange finishes in milliseconds of wall time).
+``time_scale`` (seconds of wall time per simulated millisecond).  The
+default 1/1000 runs the delay models in real time: the paper's 100 ms
+delays take 100 ms of wall time.  A smaller scale compresses them, e.g.
+1e-6 runs a 100 ms delay in 0.1 ms.
 
 ``await bus.drain()`` blocks until no datagram is in flight — how tests
 establish "the network is quiet" without sleeps.

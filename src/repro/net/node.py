@@ -36,13 +36,15 @@ Construct nodes with :func:`repro.api.create_node` rather than by hand.
 from __future__ import annotations
 
 import asyncio
+import bisect
+import itertools
 import logging
 import random
 import time
 import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -119,8 +121,16 @@ class MessageStore:
         if limit <= 0:
             raise ConfigurationError(f"store limit must be positive, got {limit}")
         self._limit = limit
-        self._data: Dict[Tuple[str, int], bytes] = {}
+        # (sender, seq) -> (insertion stamp, encoding); the stamp orders
+        # anti-entropy answers oldest-first across senders.
+        self._data: Dict[Tuple[str, int], Tuple[int, bytes]] = {}
         self._order: Deque[Tuple[str, int]] = deque()
+        self._stamps = itertools.count()
+        # Per-sender index: the seqs whose bytes are held, ascending, and
+        # the highest of them, so a digest that covers a sender skips it
+        # in O(1) without touching its list.
+        self._held: Dict[str, List[int]] = {}
+        self._top: Dict[str, int] = {}
         self._contiguous: Dict[str, int] = {}
         self._extras: Dict[str, set] = {}
         self._evicted_high: Dict[str, int] = {}
@@ -130,12 +140,25 @@ class MessageStore:
     def __len__(self) -> int:
         return len(self._data)
 
+    def _hold(self, key: Tuple[str, int], data: bytes) -> None:
+        self._data[key] = (next(self._stamps), data)
+        self._order.append(key)
+        sender, seq = key
+        held = self._held.get(sender)
+        if held is None:
+            self._held[sender] = [seq]
+            self._top[sender] = seq
+        elif seq > held[-1]:
+            held.append(seq)
+            self._top[sender] = seq
+        else:
+            bisect.insort(held, seq)
+
     def add(self, sender: str, seq: int, data: bytes) -> bool:
         """Record one encoded message; returns True when it was new."""
         if self.knows(sender, seq):
             return False
-        self._data[(sender, seq)] = data
-        self._order.append((sender, seq))
+        self._hold((sender, seq), data)
         extras = self._extras.setdefault(sender, set())
         extras.add(seq)
         frontier = self._contiguous.get(sender, 0)
@@ -145,7 +168,13 @@ class MessageStore:
         self._contiguous[sender] = frontier
         while len(self._data) > self._limit:
             evicted_sender, evicted_seq = self._order.popleft()
-            self._data.pop((evicted_sender, evicted_seq), None)
+            del self._data[(evicted_sender, evicted_seq)]
+            held = self._held[evicted_sender]
+            del held[bisect.bisect_left(held, evicted_seq)]
+            if held:
+                self._top[evicted_sender] = held[-1]
+            else:
+                del self._held[evicted_sender], self._top[evicted_sender]
             self.stats.evictions += 1
             if evicted_seq > self._evicted_high.get(evicted_sender, 0):
                 self._evicted_high[evicted_sender] = evicted_seq
@@ -159,7 +188,8 @@ class MessageStore:
 
     def get(self, sender: str, seq: int) -> Optional[bytes]:
         """The stored encoding, or None if unknown or evicted."""
-        return self._data.get((sender, seq))
+        entry = self._data.get((sender, seq))
+        return entry[1] if entry is not None else None
 
     def frontiers(self) -> Frontiers:
         """Per-sender ``(contiguous, extras)`` — the anti-entropy digest."""
@@ -171,8 +201,13 @@ class MessageStore:
             for sender in set(self._contiguous) | set(self._extras)
         }
 
-    def missing_for(self, remote: Frontiers, limit: int = 256) -> Iterator[bytes]:
-        """Stored encodings the remote digest does not cover (oldest first).
+    def missing_for(self, remote: Frontiers, limit: int = 256) -> List[bytes]:
+        """Stored encodings the remote digest does not cover (oldest first,
+        at most ``limit``).
+
+        Costs O(senders + uncovered): a sender whose highest held seq
+        the remote ``contiguous`` reaches is skipped outright, and only
+        held seqs above it are looked at.
 
         Also detects (heuristically, via the per-sender evicted high-water
         mark) a request reaching into the evicted range: counted in
@@ -191,17 +226,18 @@ class MessageStore:
                         sender, high,
                     )
                 break
-        served = 0
-        for sender, seq in self._order:
-            if served >= limit:
-                return
+        data = self._data
+        found = []
+        for sender, top in self._top.items():
             contiguous, extras = remote.get(sender, (0, ()))
-            if seq <= contiguous or seq in extras:
+            if top <= contiguous:
                 continue
-            data = self._data.get((sender, seq))
-            if data is not None:
-                served += 1
-                yield data
+            held = self._held[sender]
+            for seq in held[bisect.bisect_right(held, contiguous):]:
+                if seq not in extras:
+                    found.append(data[(sender, seq)])
+        found.sort()
+        return [encoding for _, encoding in found[:limit]]
 
     def restore_frontiers(self, frontiers: Frontiers) -> None:
         """Adopt journal-recovered per-sender coverage (empty store only).
@@ -229,8 +265,7 @@ class MessageStore:
             raise ConfigurationError(
                 f"restore_message() is for recovered ids; {key} is unknown"
             )
-        self._data[key] = data
-        self._order.append(key)
+        self._hold(key, data)
 
     def purge_sender(self, sender: str) -> int:
         """Drop everything recorded for one sender (view eviction).
@@ -243,16 +278,16 @@ class MessageStore:
         their own views catch up — those re-adds are bounded by their
         store limits and age out FIFO like any other traffic.
         """
-        dropped = 0
-        for key in [key for key in self._data if key[0] == sender]:
-            del self._data[key]
-            dropped += 1
-        if dropped or sender in self._contiguous or sender in self._extras:
+        held = self._held.pop(sender, ())
+        self._top.pop(sender, None)
+        for seq in held:
+            del self._data[(sender, seq)]
+        if held:
             self._order = deque(key for key in self._order if key[0] != sender)
         self._contiguous.pop(sender, None)
         self._extras.pop(sender, None)
         self._evicted_high.pop(sender, None)
-        return dropped
+        return len(held)
 
 
 class _DeltaTx:
@@ -1175,13 +1210,14 @@ class ReliableCausalNode:
                 self._anti_entropy_interval
                 * (0.5 + self._anti_entropy_rng.random())
             )
-            frontiers = self.store.frontiers()
-            for address in self._anti_entropy_targets():
-                try:
-                    await self.session.send_digest(address, frontiers)
-                except Exception:
-                    # A digest that fails to send is retried next round.
-                    continue
+            # One frontier snapshot, encoded once, sent to every target.
+            try:
+                self.session.send_digest(
+                    self._anti_entropy_targets(), self.store.frontiers()
+                )
+            except Exception:
+                # A digest that fails to send is retried next round.
+                pass
 
     async def _liveness_loop(self) -> None:
         interval = self._liveness_policy.heartbeat_interval
@@ -1237,7 +1273,7 @@ class ReliableCausalNode:
 
     async def _heal_peer(self, address: Address) -> None:
         try:
-            await self.session.send_digest(address, self.store.frontiers())
+            self.session.send_digest([address], self.store.frontiers())
         except Exception:
             # The regular anti-entropy loop retries soon anyway.
             pass

@@ -181,6 +181,9 @@ class TransportStats:
         acks_sent / acks_received: ACK frame counts.
         nacks_sent / nacks_received: NACK frame counts.
         digests_sent / digests_received: anti-entropy digest counts.
+        digest_bytes_sent / digest_bytes_received: encoded bytes of
+            those digests (frame bytes, before any BATCH framing), so the
+            anti-entropy share of ``bytes_sent`` is observable.
         heartbeats_sent / heartbeats_received: liveness beacon counts.
         quarantine_drops: pending frames discarded when the failure
             detector quarantined this peer (anti-entropy re-sends the
@@ -226,6 +229,8 @@ class TransportStats:
     nacks_received: int = 0
     digests_sent: int = 0
     digests_received: int = 0
+    digest_bytes_sent: int = 0
+    digest_bytes_received: int = 0
     heartbeats_sent: int = 0
     heartbeats_received: int = 0
     quarantine_drops: int = 0
@@ -724,14 +729,27 @@ class ReliableSession:
         (e.g. inside a receive upcall answering an anti-entropy digest)."""
         self._post(self.send(destination, payload))
 
-    async def send_digest(
-        self, destination: Address, frontiers: Dict[str, Tuple[int, Tuple[int, ...]]]
-    ) -> None:
-        """Fire-and-forget an anti-entropy digest (loss is harmless —
-        the next periodic round repeats it)."""
-        state = self._peer(destination)
-        state.stats.digests_sent += 1
-        self._transmit(destination, state, self._codec.encode(DigestFrame(frontiers)))
+    def send_digest(
+        self,
+        destinations: List[Address],
+        frontiers: Dict[str, Tuple[int, Tuple[int, ...]]],
+    ) -> int:
+        """Encode one anti-entropy digest and send it to every destination.
+
+        Fire-and-forget (loss is harmless — the next periodic round
+        repeats it).  Every target of a round gets the same bytes, so the
+        frontier map is encoded once, not once per peer.  Returns the
+        number of sends.
+        """
+        if not destinations:
+            return 0
+        data = self._codec.encode(DigestFrame(frontiers))
+        for destination in destinations:
+            state = self._peer(destination)
+            state.stats.digests_sent += 1
+            state.stats.digest_bytes_sent += len(data)
+            self._transmit(destination, state, data)
+        return len(destinations)
 
     async def send_heartbeat(self, destination: Address, count: int) -> None:
         """Fire-and-forget a liveness beacon (never acked or retransmitted)."""
@@ -914,9 +932,9 @@ class ReliableSession:
         except CodecError:
             self.frame_errors += 1
             return
-        self._dispatch(frame, addr)
+        self._dispatch(frame, addr, len(data))
 
-    def _dispatch(self, frame: Frame, addr: Address) -> None:
+    def _dispatch(self, frame: Frame, addr: Address, size: int) -> None:
         state = self._peer(addr)
         now = asyncio.get_running_loop().time()
         if isinstance(frame, BatchFrame):
@@ -930,7 +948,7 @@ class ReliableSession:
                 except CodecError:
                     self.frame_errors += 1
                     continue
-                self._dispatch(inner, addr)
+                self._dispatch(inner, addr, len(inner_bytes))
             return
         state.stats.frames_received += 1
         if (
@@ -950,6 +968,7 @@ class ReliableSession:
             self._on_nack(state, frame, addr, now)
         elif isinstance(frame, DigestFrame):
             state.stats.digests_received += 1
+            state.stats.digest_bytes_received += size
             if self._on_digest is not None:
                 self._on_digest(frame.frontiers, addr)
         elif isinstance(frame, HeartbeatFrame):

@@ -235,3 +235,61 @@ class TestMembershipMalformed:
     def test_unencodable_address_rejected(self):
         with pytest.raises(CodecError):
             codec.encode(JoinFrame(node_id="n", address=object(), keys=()))
+
+
+class TestDigestV3:
+    """The compact, self-contained frontier map (frame version 3)."""
+
+    def test_golden_bytes(self):
+        data = codec.encode(DigestFrame({"n00": (5, ()), "n01": (3, (5, 7))}))
+        assert data == bytes.fromhex(
+            "50460304"    # PF, version 3, DIGEST
+            "02"          # two senders
+            "036e3030"    # "n00"
+            "0a"          # contiguous 5, no extras
+            "036e3031"    # "n01"
+            "07"          # contiguous 3, extras follow
+            "0200"        # two extras (u16 count) ...
+            "0202"        # ... 5 and 7 as gaps above 3
+        )
+
+    def test_max_contiguous_round_trips(self):
+        frame = DigestFrame({"p": (2**64 - 1, ()), "q": (2**64 - 3, (2**64 - 1,))})
+        assert codec.decode(codec.encode(frame)) == frame
+
+    def test_contiguous_beyond_u64_rejected(self):
+        with pytest.raises(CodecError):
+            codec.encode(DigestFrame({"p": (2**64, ())}))
+        with pytest.raises(CodecError):
+            codec.encode(DigestFrame({"p": (-1, ())}))
+
+    def test_empty_map_round_trips(self):
+        data = codec.encode(DigestFrame({}))
+        assert data == b"PF\x03\x04\x00"
+        assert codec.decode(data) == DigestFrame({})
+
+    def test_long_ids_round_trip(self):
+        # The varint length prefix adds no id-length limit of its own.
+        long_id = "x" * 300 + "é" * 200
+        frame = DigestFrame({long_id: (9, (11,)), "short": (1, ())})
+        assert codec.decode(codec.encode(frame)) == frame
+        ack = JoinAckFrame(
+            accepted=True, view_id=2, r=16, k=2, keys=(0, 1), members=(),
+            frontiers={long_id: (4, ())}, vector=(0,) * 16,
+        )
+        assert codec.decode(codec.encode(ack)) == ack
+
+    def test_version_2_frame_rejected(self):
+        data = bytearray(codec.encode(DigestFrame({"p": (1, ())})))
+        data[2] = 2
+        with pytest.raises(CodecError, match="version"):
+            codec.decode(bytes(data))
+
+    def test_extras_flag_without_extras_rejected(self):
+        # Non-canonical: the flag promises a list that is empty.
+        with pytest.raises(CodecError):
+            codec.decode(b"PF\x03\x04\x01\x01p\x03\x00\x00")
+
+    def test_non_utf8_sender_is_a_codec_error(self):
+        with pytest.raises(CodecError):
+            codec.decode(b"PF\x03\x04\x01\x01\xff\x02")

@@ -150,6 +150,7 @@ class TestNodeStatsSurface:
         async def scenario():
             config = NodeConfig(
                 r=16, k=2, keys=(0, 1), ack_timeout=0.02,
+                anti_entropy_interval=0.05,
                 data_dir=str(tmp_path / "alice"),
             )
             alice, bob = await make_pair(config, config.replace(
@@ -159,6 +160,7 @@ class TestNodeStatsSurface:
                     await alice.broadcast(i)
                 assert await wait_for(
                     lambda: len(bob.delivered_payloads()) == 3
+                    and bob.transport_stats().digest_bytes_received > 0
                 )
                 stats = bob.stats()
                 assert stats.node_id == "bob"
@@ -168,6 +170,13 @@ class TestNodeStatsSurface:
                 counters = stats.snapshot["counters"]
                 assert counters["repro_endpoint_delivered_total"] == 3
                 assert counters["repro_wire_datagrams_received_total"] > 0
+                # The anti-entropy share of the wire, without a tracer.
+                assert counters["repro_wire_digest_bytes_received_total"] == (
+                    stats.wire.digest_bytes_received
+                ) > 0
+                assert counters["repro_wire_digest_bytes_sent_total"] == (
+                    stats.wire.digest_bytes_sent
+                ) > 0
                 assert counters["repro_journal_appends_total"] > 0
                 assert "repro_pending_depth" in stats.snapshot["gauges"]
                 hist = stats.snapshot["histograms"]["repro_delivery_wait_seconds"]

@@ -12,8 +12,9 @@ import logging
 import pytest
 
 from repro.api import NodeConfig, create_node
+from repro.core.codec import DigestFrame, FrameCodec
 from repro.core.errors import ConfigurationError
-from repro.net import FaultWindow, FaultyTransport, UdpTransport
+from repro.net import FaultWindow, FaultyTransport, LocalAsyncBus, UdpTransport
 from repro.net.node import MessageStore
 from repro.util.rng import RandomSource
 
@@ -329,5 +330,40 @@ class TestNodeSurface:
             assert await wait_for(lambda: b.decode_errors == 1)
             await a.close()
             await b.close()
+
+        asyncio.run(scenario())
+
+
+class TestAntiEntropyRound:
+    def test_one_digest_encode_per_round_whatever_the_target_count(self, monkeypatch):
+        """Every target of a round gets the same DIGEST bytes: N targets
+        cost one encode, not N."""
+        encoded = []
+        original = FrameCodec.encode
+
+        def spy(codec, frame):
+            data = original(codec, frame)
+            if isinstance(frame, DigestFrame):
+                encoded.append(data)
+            return data
+
+        monkeypatch.setattr(FrameCodec, "encode", spy)
+
+        async def scenario():
+            bus = LocalAsyncBus()
+            peers = ["p0", "p1", "p2", "p3"]
+            hub = await create_node(
+                "hub", NodeConfig(r=16, k=2, anti_entropy_interval=0.02),
+                transport=bus.attach("hub"),
+            )
+            for name in peers:
+                hub.add_peer(name)
+            assert await wait_for(lambda: len(encoded) >= 3, timeout=5.0)
+            await hub.close()
+            stats = hub.transport_stats()
+            assert stats.digests_sent == len(peers) * len(encoded)
+            assert stats.digest_bytes_sent == sum(
+                len(peers) * len(data) for data in encoded
+            )
 
         asyncio.run(scenario())

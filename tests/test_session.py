@@ -1,11 +1,13 @@
 """Tests for the reliable session layer (acks, retransmit, backpressure)."""
 
 import asyncio
+import socket
 
 import pytest
 
+from repro.core.codec import DataFrame, DigestFrame, FrameCodec
 from repro.core.errors import ConfigurationError
-from repro.net import LocalAsyncBus, ReliableSession, RetransmitPolicy
+from repro.net import BatchedUdpTransport, LocalAsyncBus, ReliableSession, RetransmitPolicy
 from repro.net.peer import Transport
 from repro.sim.network import ConstantDelayModel
 from repro.util.rng import RandomSource
@@ -139,6 +141,40 @@ class TestDelivery:
             assert sessions["b"].frame_errors == 1
             assert inboxes["b"] == []
             for session in sessions.values():
+                await session.close()
+
+        asyncio.run(scenario())
+
+    def test_malformed_datagram_does_not_drop_the_rest_of_its_batch(self):
+        """A DIGEST with a non-UTF-8 sender id, queued between two valid
+        DATA frames, is counted as a frame error; the batched transport
+        still hands both DATA payloads to the session."""
+
+        async def scenario():
+            rx = await BatchedUdpTransport.create()
+            inbox = []
+            session = ReliableSession(
+                rx, on_message=lambda data, addr: inbox.append(bytes(data)),
+                policy=fast_policy(),
+            )
+            codec = FrameCodec()
+            digest = bytearray(codec.encode(DigestFrame({"p": (1, ())})))
+            digest[digest.index(b"p")] = 0xFF
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                # Queued before the loop reads: one receive wakeup.
+                for datagram in (
+                    codec.encode(DataFrame(seq=1, payload=b"first")),
+                    bytes(digest),
+                    codec.encode(DataFrame(seq=2, payload=b"second")),
+                ):
+                    sock.sendto(datagram, rx.local_address)
+                await wait_for(lambda: len(inbox) == 2)
+                assert inbox == [b"first", b"second"]
+                assert session.frame_errors == 1
+                assert rx.io_stats.rx_wakeups == 1
+            finally:
+                sock.close()
                 await session.close()
 
         asyncio.run(scenario())

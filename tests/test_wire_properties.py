@@ -28,8 +28,14 @@ from repro.core.codec import (
     DigestFrame,
     FrameCodec,
     HeartbeatFrame,
+    JoinAckFrame,
+    JoinFrame,
+    LeaveFrame,
+    MemberRecord,
     MessageCodec,
     NackFrame,
+    RelayFrame,
+    ViewFrame,
 )
 from repro.core.protocol import Message
 
@@ -142,6 +148,51 @@ def frames(draw):
     )
 
 
+@st.composite
+def member_records(draw, max_size=3):
+    names = draw(st.lists(SENDERS, max_size=max_size, unique=True))
+    return tuple(
+        MemberRecord(
+            node_id=name,
+            address=(draw(SENDERS), draw(st.integers(0, 65535))),
+            keys=tuple(sorted(draw(st.sets(st.integers(0, 255), max_size=3)))),
+        )
+        for name in names
+    )
+
+
+@st.composite
+def membership_and_relay_frames(draw):
+    kind = draw(st.sampled_from(["view", "join", "join_ack", "leave", "relay"]))
+    if kind == "view":
+        return ViewFrame(
+            view_id=draw(st.integers(0, 2**40)),
+            members=draw(member_records()),
+            epoch=draw(st.integers(0, 2**16)),
+        )
+    if kind == "join":
+        return JoinFrame(
+            node_id=draw(SENDERS), address=("h", draw(st.integers(0, 65535)))
+        )
+    if kind == "join_ack":
+        frontiers = draw(inner_frames().filter(
+            lambda frame: isinstance(frame, DigestFrame))).frontiers
+        return JoinAckFrame(
+            accepted=draw(st.booleans()), view_id=draw(st.integers(0, 2**40)),
+            r=16, k=2, keys=(0, 1), members=draw(member_records()),
+            frontiers=frontiers,
+            vector=tuple(draw(st.lists(st.integers(0, 2**20), max_size=16))),
+            reason=draw(st.text(max_size=12)),
+        )
+    if kind == "leave":
+        return LeaveFrame(node_id=draw(SENDERS))
+    return RelayFrame(
+        origin=draw(SENDERS), seq=draw(st.integers(0, 2**40)),
+        hops=draw(st.integers(0, 255)), sample=draw(member_records()),
+        payload=draw(st.binary(max_size=64)),
+    )
+
+
 # ----------------------------------------------------------------------
 # properties
 # ----------------------------------------------------------------------
@@ -185,6 +236,36 @@ class TestFrameRoundTrip:
         decoded = codec.decode(data)
         assert type(decoded) is type(frame)
         assert codec.encode(decoded) == data
+
+
+class TestMalformedFrames:
+    """Corrupted datagrams fail with :class:`CodecError` and nothing else:
+    the receive path catches only that, so any other exception type would
+    escape the session and drop the rest of the transport's batch."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(frames() | membership_and_relay_frames(), st.data())
+    def test_byte_flips_raise_only_codec_error(self, frame, data):
+        codec = FrameCodec()
+        wire = bytearray(codec.encode(frame))
+        for _ in range(data.draw(st.integers(1, 3))):
+            position = data.draw(st.integers(0, len(wire) - 1))
+            wire[position] ^= data.draw(st.integers(1, 255))
+        try:
+            codec.decode(memoryview(bytes(wire)))
+        except CodecError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(frames() | membership_and_relay_frames(), st.data())
+    def test_truncations_raise_only_codec_error(self, frame, data):
+        codec = FrameCodec()
+        wire = codec.encode(frame)
+        cut = data.draw(st.integers(0, len(wire) - 1))
+        try:
+            codec.decode(wire[:cut])
+        except CodecError:
+            pass
 
 
 class TestDeltaDifferential:

@@ -23,12 +23,14 @@ anti-entropy exchange that re-delivers the affected messages full, after
 which deltas resume.
 
 Retransmission handles the common case (a datagram lost on one link);
-the periodic anti-entropy exchange handles the rest: each node digests
-its per-sender frontiers to every peer, and a peer that holds messages
-outside that digest pushes them back over the reliable session.  Because
-every stored message is relayed on request, anti-entropy also heals
-*transitive* gaps — a message from A can reach C via B even if the A→C
-link dropped every copy.
+the periodic anti-entropy exchange handles the rest.  It is push-pull
+with few partners: each round a node digests its per-sender frontiers
+to one random peer (``fanout`` view members in overlay mode).  The
+receiver pushes back what the digest does not cover and, when the
+digest names ids it has never seen, digests back at once (the pull) so
+the sender pushes those too.  Because every stored message is relayed
+on request, anti-entropy also heals *transitive* gaps — a message from
+A can reach C via B even if the A→C link dropped every copy.
 
 Construct nodes with :func:`repro.api.create_node` rather than by hand.
 """
@@ -200,6 +202,27 @@ class MessageStore:
             )
             for sender in set(self._contiguous) | set(self._extras)
         }
+
+    def lacks(self, remote: Frontiers, admit: Callable[[str], bool]) -> bool:
+        """Whether the remote digest names an id this store never recorded.
+
+        Costs O(senders + remote extras): where the remote ``contiguous``
+        is ahead of ours, our next seq is missing unless an extra holds
+        it; otherwise only remote extras above our frontier can be new.
+        Senders ``admit`` rejects are skipped.
+        """
+        for sender, (contiguous, remote_extras) in remote.items():
+            ours = self._contiguous.get(sender, 0)
+            extras = self._extras.get(sender, ())
+            seq = ours + 1
+            while seq <= contiguous and seq in extras:
+                seq += 1
+            behind = seq <= contiguous or any(
+                extra > ours and extra not in extras for extra in remote_extras
+            )
+            if behind and admit(sender):
+                return True
+        return False
 
     def missing_for(self, remote: Frontiers, limit: int = 256) -> List[bytes]:
         """Stored encodings the remote digest does not cover (oldest first,
@@ -382,10 +405,10 @@ class ReliableCausalNode:
             given, the node disseminates in **overlay mode** — each
             broadcast is pushed as a RELAY envelope to ``fanout`` peers
             from the bounded partial view (relayed onward by receivers,
-            infect-and-die), anti-entropy digests and heartbeats go to
-            the view instead of the full peer list, and per-node wire
-            cost stops growing with cluster size.  ``None`` (default)
-            keeps the full-mesh dissemination.
+            infect-and-die), anti-entropy digests go to ``fanout`` view
+            members and heartbeats to the view instead of the full peer
+            list, and per-node wire cost stops growing with cluster
+            size.  ``None`` (default) keeps the full-mesh dissemination.
         metrics: the node's :class:`~repro.obs.MetricsRegistry`; created
             automatically (with a ``node=<id>`` label) when not given —
             every node is observable, the instruments cost nothing until
@@ -449,6 +472,10 @@ class ReliableCausalNode:
         self._heal_tasks: Set[asyncio.Task] = set()
         self._heartbeat_count = 0
         self._heartbeats_suppressed = 0
+        self._anti_entropy_pulls = 0
+        # The encoding of the own broadcast in flight, made for the WAL
+        # inside endpoint.broadcast() and reused for the wire.
+        self._wal_encoding: Optional[bytes] = None
         self._wire_delta = wire_delta
         # Delta wire state: per-peer sender references (own acked
         # messages) and a per-(peer, sender) table of recently received
@@ -614,6 +641,7 @@ class ReliableCausalNode:
         resumes = self.metrics.counter("repro_liveness_resumes_total")
         suppressed = self.metrics.counter("repro_heartbeats_suppressed_total")
         stale = self.metrics.counter("repro_stale_frames_total")
+        pulls = self.metrics.counter("repro_anti_entropy_pulls_total")
         # Zero-copy codec tallies: the message codec (this node's) and
         # the session's frame codec each keep slotted ints; export their
         # sum per field as repro_codec_*_total.
@@ -633,6 +661,7 @@ class ReliableCausalNode:
                 resumes.set(self.liveness.resumes)
             suppressed.set(self._heartbeats_suppressed)
             stale.set(self._stale_frames)
+            pulls.set(self._anti_entropy_pulls)
             message_tallies = self._codec.counters
             frame_tallies = self.session.codec_counters
             for name, counter in codec_counters.items():
@@ -905,7 +934,9 @@ class ReliableCausalNode:
         # detector's recent-window eviction is keyed on it (a frozen
         # clock silently disables Algorithm 5's time bound).
         message = self.endpoint.broadcast(payload, now=self._now())
-        data = self._codec.encode(message)
+        data, self._wal_encoding = self._wal_encoding, None
+        if data is None:
+            data = self._codec.encode(message)
         self.store.add(str(message.sender), message.seq, data)
         if self.overlay is not None:
             # Overlay mode: one RELAY envelope to `fanout` view targets;
@@ -1170,20 +1201,22 @@ class ReliableCausalNode:
         while len(refs) > self._delta_rx_cap:
             refs.popitem(last=False)
 
-    def _request_resync(self, addr: Address) -> None:
-        """Rate-limited out-of-band anti-entropy round after a reference
-        miss (one per link per 50 ms, however many deltas bounce)."""
+    def _request_resync(self, addr: Address) -> bool:
+        """Rate-limited out-of-band digest to one peer, after a reference
+        miss or a digest showing us behind (one per link per 50 ms,
+        however many deltas bounce); True when one was scheduled."""
         try:
             loop = asyncio.get_running_loop()
         except RuntimeError:
-            return
+            return False
         now = loop.time()
         if now - self._resync_last.get(addr, -1e18) < 0.05:
-            return
+            return False
         self._resync_last[addr] = now
         task = loop.create_task(self._heal_peer(addr))
         self._heal_tasks.add(task)
         task.add_done_callback(self._heal_tasks.discard)
+        return True
 
     def _handle_digest(self, frontiers: Frontiers, addr: Address) -> None:
         if self._drop_if_evicted(addr, "digest"):
@@ -1191,14 +1224,25 @@ class ReliableCausalNode:
         for data in self.store.missing_for(frontiers):
             # Reliable push: goes through the normal ack/retransmit path.
             self.session.push(addr, data)
+        # Pull: the sender holds ids we never saw; digest back so it
+        # pushes them.  Departed senders a peer still lists are ignored,
+        # or they would cause a pull every round.
+        if self.store.lacks(frontiers, self._sender_in_view):
+            if self._request_resync(addr):
+                self._anti_entropy_pulls += 1
 
     def _anti_entropy_targets(self) -> List[Address]:
-        """Digest destinations: the full peer list in mesh mode, the
-        bounded partial view in overlay mode (each node heals with
-        O(view_size) peers; transitivity covers the rest of the swarm)."""
+        """One round's digest partners: ``fanout`` random live view
+        members in overlay mode, one random live peer in mesh mode.
+
+        A few partners suffice because a receiver the digest shows
+        behind pulls (see :meth:`_handle_digest`), and transitivity
+        carries repairs on through the group.
+        """
         if self.overlay is not None:
-            return self.overlay.digest_targets(live_filter=self._overlay_live)
-        return self._live_peers()
+            return self.overlay.push_targets(live_filter=self._overlay_live)
+        peers = self._live_peers()
+        return [self._anti_entropy_rng.choice(peers)] if peers else []
 
     async def _anti_entropy_loop(self) -> None:
         while True:
@@ -1210,7 +1254,7 @@ class ReliableCausalNode:
                 self._anti_entropy_interval
                 * (0.5 + self._anti_entropy_rng.random())
             )
-            # One frontier snapshot, encoded once, sent to every target.
+            # One frontier snapshot, encoded once, sent to every partner.
             try:
                 self.session.send_digest(
                     self._anti_entropy_targets(), self.store.frontiers()
@@ -1287,8 +1331,10 @@ class ReliableCausalNode:
         if self.journal is not None:
             if record.local:
                 # WAL-before-wire: this runs inside endpoint.broadcast(),
-                # before broadcast() puts the message on any link.
-                self.journal.record_send(message.seq, self._codec.encode(message))
+                # before broadcast() puts the message on any link, which
+                # then sends these same bytes.
+                self._wal_encoding = self._codec.encode(message)
+                self.journal.record_send(message.seq, self._wal_encoding)
             else:
                 self.journal.record_delivery(
                     str(message.sender),
@@ -1375,6 +1421,12 @@ class ReliableCausalNode:
     def heartbeats_suppressed(self) -> int:
         """Heartbeat beacons skipped because the link had recent traffic."""
         return self._heartbeats_suppressed
+
+    @property
+    def anti_entropy_pulls(self) -> int:
+        """Out-of-band digests sent because a peer's digest showed this
+        node behind."""
+        return self._anti_entropy_pulls
 
     def stats(self) -> NodeStats:
         """One coherent :class:`NodeStats` snapshot of this node."""

@@ -26,7 +26,8 @@ broadcast (lpbcast) and Nédelec et al.'s relay-based causal broadcast
   live counterpart observable);
 * the relay wave reaches (1 − e^{-fanout}) of the swarm in O(log N)
   hops with high probability; the existing **anti-entropy digests**
-  (sent to the bounded view, not the mesh) heal the probabilistic tail.
+  (each round to ``fanout`` view members, not the mesh; a receiver the
+  digest shows behind pulls) heal the probabilistic tail.
 
 Per-broadcast wire cost at any single node is therefore O(fanout), and
 session state is bounded by the view plus gossip in-degree — neither
@@ -265,7 +266,7 @@ class PartialView:
     def digest_targets(
         self, live_filter: Optional[LiveFilter] = None
     ) -> List[Address]:
-        """Every live view entry — the bounded anti-entropy peer set."""
+        """Every live view entry — where membership announcements go."""
         return self._eligible((), live_filter)
 
     def gossip_sample(self) -> Tuple[MemberRecord, ...]:

@@ -178,6 +178,10 @@ class TestNodeStatsSurface:
                     stats.wire.digest_bytes_sent
                 ) > 0
                 assert counters["repro_journal_appends_total"] > 0
+                # Backstop repairs apart from routine rounds.
+                assert counters["repro_anti_entropy_pulls_total"] == (
+                    bob.anti_entropy_pulls
+                )
                 assert "repro_pending_depth" in stats.snapshot["gauges"]
                 hist = stats.snapshot["histograms"]["repro_delivery_wait_seconds"]
                 assert hist["count"] == 3

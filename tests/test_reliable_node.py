@@ -102,7 +102,12 @@ class TestSoakUnderLoss:
     @pytest.mark.soak
     def test_anti_entropy_recovers_without_retransmission(self):
         """With retransmission disabled (max_retries=0) and heavy loss,
-        the periodic digest exchange alone must converge the nodes."""
+        the periodic digest exchange alone must converge the nodes.
+
+        Coalescing is off so every frame is its own datagram: with it on,
+        alice's 15 broadcasts travel in a couple of BATCH datagrams that
+        the seeded drop pattern may miss entirely, and nothing is left
+        for anti-entropy to heal."""
 
         async def scenario():
             config = NodeConfig(
@@ -111,6 +116,7 @@ class TestSoakUnderLoss:
                 ack_timeout=0.02,
                 max_retries=0,
                 anti_entropy_interval=0.05,
+                coalesce_mtu=0,
             )
             alice = await make_lossy_node("alice", config, seed=3, drop_rate=0.4)
             bob = await make_lossy_node("bob", config, seed=4, drop_rate=0.4)
@@ -123,9 +129,13 @@ class TestSoakUnderLoss:
                 lambda: len(bob.delivered_payloads()) == 15, timeout=30.0
             ), "anti-entropy did not converge"
             assert bob.delivered_payloads() == list(range(15))
+            assert alice.transport.dropped > 0, "fault injection never fired"
             stats = alice.transport_stats()
-            assert stats.digests_sent > 0
             assert stats.drops > 0, "every frame survived: loss not exercised"
+            # Whichever node's round fires first heals the gap: a digest
+            # from bob pulls alice's pushes, one from alice makes bob pull.
+            digests = stats.digests_sent + bob.transport_stats().digests_sent
+            assert digests > 0, "anti-entropy never ran"
             await alice.close()
             await bob.close()
 
@@ -335,9 +345,9 @@ class TestNodeSurface:
 
 
 class TestAntiEntropyRound:
-    def test_one_digest_encode_per_round_whatever_the_target_count(self, monkeypatch):
-        """Every target of a round gets the same DIGEST bytes: N targets
-        cost one encode, not N."""
+    @staticmethod
+    def spy_digest_encodes(monkeypatch):
+        """Record the bytes of every DIGEST frame encoded from now on."""
         encoded = []
         original = FrameCodec.encode
 
@@ -348,6 +358,35 @@ class TestAntiEntropyRound:
             return data
 
         monkeypatch.setattr(FrameCodec, "encode", spy)
+        return encoded
+
+    def test_one_digest_encode_per_round_whatever_the_target_count(self, monkeypatch):
+        """Every target of a digest gets the same bytes: N targets cost
+        one encode, not N."""
+        encoded = self.spy_digest_encodes(monkeypatch)
+
+        async def scenario():
+            bus = LocalAsyncBus()
+            peers = ["p0", "p1", "p2", "p3"]
+            hub = await create_node(
+                "hub", NodeConfig(r=16, k=2, anti_entropy_interval=0),
+                transport=bus.attach("hub"),
+            )
+            await hub.broadcast("x")
+            for _ in range(3):
+                assert hub.session.send_digest(peers, hub.store.frontiers()) == 4
+            await hub.close()
+            assert len(encoded) == 3
+            stats = hub.transport_stats()
+            assert stats.digests_sent == len(peers) * len(encoded)
+            assert stats.digest_bytes_sent == sum(
+                len(peers) * len(data) for data in encoded
+            )
+
+        asyncio.run(scenario())
+
+    def test_mesh_round_digests_one_random_peer(self, monkeypatch):
+        encoded = self.spy_digest_encodes(monkeypatch)
 
         async def scenario():
             bus = LocalAsyncBus()
@@ -358,12 +397,102 @@ class TestAntiEntropyRound:
             )
             for name in peers:
                 hub.add_peer(name)
-            assert await wait_for(lambda: len(encoded) >= 3, timeout=5.0)
+            assert await wait_for(lambda: len(encoded) >= 8, timeout=5.0)
             await hub.close()
-            stats = hub.transport_stats()
-            assert stats.digests_sent == len(peers) * len(encoded)
-            assert stats.digest_bytes_sent == sum(
-                len(peers) * len(data) for data in encoded
+            by_peer = hub.transport_stats_by_peer()
+            assert sum(s.digests_sent for s in by_peer.values()) == len(encoded)
+            # The partner is drawn afresh each round, not pinned.
+            assert sum(1 for s in by_peer.values() if s.digests_sent) > 1
+
+        asyncio.run(scenario())
+
+    def test_overlay_round_digests_fanout_view_members(self, monkeypatch):
+        encoded = self.spy_digest_encodes(monkeypatch)
+
+        async def scenario():
+            bus = LocalAsyncBus()
+            node = await create_node(
+                "hub",
+                NodeConfig(r=16, k=2, anti_entropy_interval=0.02,
+                           dissemination="overlay", fanout=3, view_size=8),
+                transport=bus.attach("hub"),
             )
+            for i in range(8):
+                node.add_peer(f"p{i}")
+            assert len(node.overlay) == 8
+            assert await wait_for(lambda: len(encoded) >= 4, timeout=5.0)
+            await node.close()
+            assert node.transport_stats().digests_sent == 3 * len(encoded)
+
+        asyncio.run(scenario())
+
+    def test_digest_showing_a_gap_makes_the_receiver_pull(self):
+        """``slow``'s own round is at least 15 s away, so only a pull can
+        heal its gap: ``fast``'s digest shows messages ``slow`` never
+        saw, and ``slow`` digests back at once to have them pushed."""
+
+        async def scenario():
+            bus = LocalAsyncBus(time_scale=1e-5)
+            slow = await create_node(
+                "slow", NodeConfig(r=16, k=2, anti_entropy_interval=30.0),
+                transport=bus.attach("slow"),
+            )
+            fast = await create_node(
+                "fast", NodeConfig(r=16, k=2, anti_entropy_interval=0.05),
+                transport=bus.attach("fast"),
+            )
+            for i in range(3):
+                await fast.broadcast(i)  # no peers yet: slow misses all three
+            fast.add_peer("slow")
+            # Within one of fast's rounds (at most 1.5 x 0.05 s) plus the
+            # exchange itself.
+            assert await wait_for(
+                lambda: slow.delivered_payloads() == [0, 1, 2], timeout=1.0
+            ), "the gap was not pulled"
+            counters = slow.stats().snapshot["counters"]
+            assert counters["repro_anti_entropy_pulls_total"] >= 1
+            assert slow.transport_stats("fast").digests_sent >= 1
+            assert fast.stats().snapshot["counters"][
+                "repro_anti_entropy_pulls_total"] == 0
+            await slow.close()
+            await fast.close()
+
+        asyncio.run(scenario())
+
+
+class TestJournalledBroadcast:
+    def test_one_message_encode_per_journalled_broadcast(self, tmp_path):
+        """The WAL record's encoding is the one the wire and the store
+        carry: a journalled broadcast encodes its message once."""
+
+        async def scenario():
+            bus = LocalAsyncBus(time_scale=1e-5)
+            alice = await create_node(
+                "alice",
+                NodeConfig(r=16, k=2, anti_entropy_interval=0,
+                           data_dir=str(tmp_path / "alice")),
+                transport=bus.attach("alice"),
+            )
+            bob = await create_node(
+                "bob", NodeConfig(r=16, k=2, anti_entropy_interval=0),
+                transport=bus.attach("bob"),
+            )
+            alice.add_peer("bob")
+            codec = alice._codec
+            original = codec.encode
+            encodes = []
+
+            def spy(message):
+                encodes.append(message.seq)
+                return original(message)
+
+            codec.encode = spy
+            messages = [await alice.broadcast(i) for i in range(4)]
+            assert encodes == [1, 2, 3, 4]
+            assert await wait_for(lambda: bob.delivered_payloads() == [0, 1, 2, 3])
+            for message in messages:
+                assert alice.store.get("alice", message.seq) == original(message)
+            await alice.close()
+            await bob.close()
 
         asyncio.run(scenario())

@@ -1,5 +1,6 @@
-"""Differential test: the indexed ``MessageStore.missing_for`` against the
-linear walk it replaced.
+"""Differential tests: the indexed ``MessageStore.missing_for`` against
+the linear walk it replaced, and ``MessageStore.lacks`` against a
+brute-force set comparison.
 
 The reference below is the original implementation: it walks the whole
 store in insertion order and serves every encoding the remote digest
@@ -8,6 +9,11 @@ senders through a per-sender index and visits only the uncovered rest;
 it must yield exactly the same sequence and keep the same unservable-
 request accounting.  Two stores receive the same operation history; one
 answers through the index, its twin through the reference walk.
+
+``lacks`` (the pull test of push-pull anti-entropy) is checked against
+a model that keeps every id the store has recorded as a plain set: the
+store lacks something exactly when an admitted sender's remote id set
+is not a subset of the model's.
 """
 
 import logging
@@ -142,3 +148,80 @@ def test_cap_of_256_keeps_the_oldest_across_senders():
     # A digest covering everything held is answered with nothing.
     covered = {sender: (200, ()) for sender in SENDERS}
     assert list(indexed.missing_for(covered)) == []
+
+
+def admit_all(sender):
+    return True
+
+
+def brute_lacks(known, remote, admitted):
+    """Set reference: does the remote digest name an admitted id that was
+    never recorded here?"""
+    for sender, (contiguous, extras) in remote.items():
+        theirs = set(range(1, contiguous + 1)) | set(extras)
+        if sender in admitted and theirs - known.get(sender, set()):
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    limit=st.sampled_from([1, 3, 8192]),
+    recovered=st.none() | frontier_maps(),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), st.sampled_from(SENDERS), seqs),
+            st.tuples(st.just("restore"), st.sampled_from(SENDERS), seqs),
+            st.tuples(st.just("purge"), st.sampled_from(SENDERS)),
+            st.tuples(
+                st.just("query"), frontier_maps(),
+                st.frozensets(st.sampled_from(SENDERS)),
+            ),
+        ),
+        max_size=80,
+    ),
+)
+def test_lacks_matches_set_comparison(limit, recovered, ops):
+    store = MessageStore(limit=limit)
+    known = {}
+    if recovered is not None:
+        store.restore_frontiers(recovered)
+        for sender, (contiguous, extras) in recovered.items():
+            known[sender] = set(range(1, contiguous + 1)) | set(extras)
+    for op in ops:
+        kind = op[0]
+        if kind == "add":
+            # Out-of-order adds: seqs arrive in any order, with gaps.
+            store.add(op[1], op[2], _encoding(op[1], op[2]))
+            known.setdefault(op[1], set()).add(op[2])
+        elif kind == "restore":
+            # Re-stocking bytes never changes which ids are known.
+            if store.knows(op[1], op[2]):
+                store.restore_message(op[1], op[2], _encoding(op[1], op[2]))
+        elif kind == "purge":
+            store.purge_sender(op[1])
+            known.pop(op[1], None)
+        else:
+            remote, admitted = op[1], op[2]
+            assert store.lacks(remote, admitted.__contains__) == brute_lacks(
+                known, remote, admitted
+            )
+            # Every sender admitted, ones this store never saw included.
+            assert store.lacks(remote, admit_all) == brute_lacks(
+                known, remote, set(SENDERS)
+            )
+        # Our own digest never shows us behind ourselves.
+        assert not store.lacks(store.frontiers(), admit_all)
+
+
+def test_lacks_ignores_rejected_senders_and_covered_digests():
+    store = MessageStore()
+    for seq in (1, 2, 5):
+        store.add("a", seq, _encoding("a", seq))
+    assert not store.lacks({"a": (2, (5,))}, admit_all)
+    assert store.lacks({"a": (3, ())}, admit_all)  # seq 3 was never recorded
+    assert store.lacks({"a": (2, (4,))}, admit_all)  # an extra above our frontier
+    assert store.lacks({"b": (1, ())}, admit_all)  # a sender we never heard of
+    # A purged (departed) sender the filter rejects never causes a pull.
+    store.purge_sender("a")
+    assert not store.lacks({"a": (9, ())}, lambda sender: sender != "a")
